@@ -34,7 +34,7 @@ int main() {
     for (auto kind : {eval::LoaderKind::kDali, eval::LoaderKind::kEmlio}) {
       auto cfg = eval::sharded(kind, dataset, model, regimes[r]);
       if (kind == eval::LoaderKind::kEmlio) {
-        // Model the pipelined storage engine the real daemon now runs:
+        // Model the staged storage engine the real daemon now runs:
         // a read+encode pool wider than the single SendWorker, feeding a
         // bounded per-sink prefetch queue (DaemonConfig::pool_threads /
         // ::prefetch_depth).

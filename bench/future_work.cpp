@@ -3,7 +3,7 @@
 //  (1) heterogeneous transports — the EMLIO wire path over classic TCP/ZMQ,
 //      RDMA verbs (zero-copy, ~60 % lower host byte-moving cost) and
 //      NVMe-over-Fabrics (no serialize stage; fabric round trip per extent
-//      read, pipelined by deep queues);
+//      read, overlapped by deep queues);
 //  (2) beyond TFRecord — a packed text-for-LLM workload (2.5 M × 4 KiB
 //      sequences), the many-tiny-records regime where per-file loaders are
 //      at their worst.

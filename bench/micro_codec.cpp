@@ -108,7 +108,7 @@ void BM_BatchEncodePooled(benchmark::State& state) {
 BENCHMARK(BM_BatchEncodePooled)->Arg(8)->Arg(32)->Arg(128);
 
 void BM_BatchEncodePooledParallel(benchmark::State& state) {
-  // The daemon's pipelined engine fans encode jobs across a shared
+  // The daemon's staged engine fans encode jobs across a shared
   // ThreadPool into one shared BufferPool (DaemonConfig::pool_threads);
   // this measures how that hot stage scales with the pool size.
   auto batch = sample_batch(32, 100 * 1024);

@@ -102,7 +102,7 @@ struct DaemonRun {
   std::vector<msgpack::WireBatch> streams[2];  ///< full delivery per node
 };
 
-/// Serve `epochs` epochs of a 2-node full-dataset plan through the pipelined
+/// Serve `epochs` epochs of a 2-node full-dataset plan through the staged
 /// engine; static_width > 0 pins the pool, adaptive=true starts it at 1 and
 /// hands sizing to the governor.
 DaemonRun run_daemon(const std::vector<tfrecord::ShardIndex>& indexes,
@@ -131,7 +131,6 @@ DaemonRun run_daemon(const std::vector<tfrecord::ShardIndex>& indexes,
   core::DaemonConfig dc;
   dc.daemon_id = adaptive ? "governed" : "static";
   dc.verify_crc = true;  // real read-side CPU cost per record
-  dc.pipelined = true;
   dc.pool_threads = pool_threads;
   dc.prefetch_depth = 16;
   dc.adaptive_pool = adaptive;

@@ -3,7 +3,7 @@
 // Two contracts:
 //
 //   1. Byte identity (always runs): the same plan is served through the
-//      pipelined daemon → sim wire → pooled receiver with tracing OFF and
+//      staged daemon → sim wire → pooled receiver with tracing OFF and
 //      with tracing ON (trace_wire off). Every payload that crosses the
 //      wire — captured at the sink — and every delivered batch must be
 //      byte-identical between the two runs: tracing observes the data path,
@@ -96,7 +96,6 @@ TraceRun run_once(const std::vector<tfrecord::ShardIndex>& indexes, const core::
   core::DaemonConfig dc;
   dc.daemon_id = trace ? "traced" : "untraced";
   dc.verify_crc = true;  // real per-record CPU so the clock calls have work to hide in
-  dc.pipelined = true;
   dc.pool_threads = 2;
   dc.prefetch_depth = 8;
   dc.trace = trace;

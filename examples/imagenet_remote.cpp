@@ -103,7 +103,7 @@ int main() {
     std::printf("  %6.1f   %19.2f   %9.2f\n", rtt, file_s, emlio_s);
   }
   std::printf("expected shape: the per-file column grows ~linearly with RTT; EMLIO's barely "
-              "moves (pre-batched pipelined streaming).\n");
+              "moves (pre-batched, overlapped streaming).\n");
   fs::remove_all(root);
   return 0;
 }

@@ -132,7 +132,9 @@ void EnergyMonitor::accumulator() {
     if (gap == 0) gap = 1;
     auto scale = 1.0 / static_cast<double>(gap);
     for (std::uint64_t k = 1; k <= gap; ++k) {
-      std::uint64_t round = static_cast<std::uint64_t>(last_round) + k;
+      // Ends at merged.round, so a first reading taken late (round > 0) is
+      // stamped at its own tick rather than t_0.
+      std::uint64_t round = merged.round - gap + k;
       tsdb::Point p;
       p.measurement = options_.measurement;
       p.tags["node_id"] = options_.node_id;

@@ -2,8 +2,8 @@
 //
 // An ExternalSource callback feeds wire batches (EMLIO's BatchProvider, or
 // any loader); `num_threads` decode workers run decode→resize→crop→mirror→
-// normalize concurrently with the consumer (DALI's exec_async /
-// exec_pipelined, §4.5); results land in a prefetch queue of depth Q.
+// normalize concurrently with the consumer (DALI's asynchronous executor
+// with pipelining enabled, §4.5); results land in a prefetch queue of depth Q.
 // run() pops one preprocessed batch — the pipe.run() of Algorithm 3 line 7.
 // warm_up() manually fills the queue (line 4). Batch order is preserved even
 // with multiple decode workers (completion-buffer reordering), because the

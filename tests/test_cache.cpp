@@ -371,11 +371,11 @@ TEST_F(CacheIntegrationTest, UnknownCachePolicyThrowsAtConstruction) {
   EXPECT_THROW(EmlioService service(cfg), std::runtime_error);
 }
 
-// The serial (non-pipelined) engine shares build_batch and therefore the
-// cache: warm epochs skip storage there too.
-TEST_F(CacheIntegrationTest, SerialEngineUsesTheCacheToo) {
+// A width-1 encode pool — the simplest configuration — serves warm epochs
+// from the cache exactly like the default width.
+TEST_F(CacheIntegrationTest, WidthOnePoolUsesTheCacheToo) {
   auto cfg = config(/*cache_bytes=*/64u << 20);
-  cfg.pipelined = false;
+  cfg.pipeline_pool_threads = 1;
   EmlioService service(cfg);
   service.start();
   auto stream = drain_all_epochs(service);

@@ -2,6 +2,7 @@
 // pipeline → trainer, over both the in-process channel and real loopback TCP.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <random>
@@ -14,6 +15,7 @@
 #include "core/service.h"
 #include "net/sim_channel.h"
 #include "pipeline/pipeline.h"
+#include "oracle.h"
 #include "train/trainer.h"
 #include "workload/materialize.h"
 
@@ -106,40 +108,31 @@ TEST_F(CoreIntegrationTest, ShmTransportDeliversSameGuarantees) {
 }
 
 TEST_F(CoreIntegrationTest, ShmStreamIsByteIdenticalToInProcess) {
-  // Same seed + single-threaded deterministic engines: the decoded batch
-  // stream over shm must be byte-for-byte the stream the in-process channel
-  // delivers. Flattens every batch (ids + labels + sample bytes) into one
-  // buffer per transport and compares.
-  auto capture = [&](Transport transport) {
+  // Both FIFO transports must deliver exactly the stream the epoch plan
+  // fixes: the node's batches in batch_id order, each carrying its records'
+  // indexes, labels and bytes, then one epoch marker — byte for byte, with
+  // the pooled daemon and receiver engines in between.
+  auto indexes = tfrecord::load_all_indexes(dir_.string());
+  auto check = [&](Transport transport, const char* name) {
     auto cfg = base_config();
     cfg.transport = transport;
-    cfg.threads_per_node = 1;  // one worker → deterministic batch order
-    cfg.pipelined = false;     // serial engines: no pool reordering anywhere
+    cfg.pipeline_pool_threads = 3;
+    cfg.decode_threads = 2;
     EmlioService service(cfg);
+    auto expected = oracle::expected_stream(service.planner().plan_epoch(0, 1), indexes)[0];
+    expected.push_back(msgpack::BatchCodec::make_sentinel(0, 0, expected.size()));
+    ASSERT_EQ(expected.size(), 7u);  // 48 samples / B=8, plus the marker
     service.start();
-    std::vector<std::uint8_t> stream;
-    auto put_u64 = [&stream](std::uint64_t v) {
-      for (int b = 0; b < 8; ++b) stream.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
-    };
+    std::vector<msgpack::WireBatch> delivered;
     while (auto batch = service.next_batch()) {
-      put_u64(batch->epoch);
-      put_u64(batch->batch_id);
-      put_u64(batch->last ? 1 : 0);
-      for (const auto& s : batch->samples) {
-        put_u64(s.index);
-        put_u64(static_cast<std::uint64_t>(s.label));
-        put_u64(s.bytes.size());
-        stream.insert(stream.end(), s.bytes.data(), s.bytes.data() + s.bytes.size());
-      }
-      if (batch->last) break;
+      delivered.push_back(std::move(*batch));
+      if (delivered.back().last) break;
     }
     service.stop();
-    return stream;
+    EXPECT_TRUE(delivered == expected) << name << " stream differs from the plan";
   };
-  auto in_process = capture(Transport::kInProcess);
-  auto shm = capture(Transport::kShm);
-  ASSERT_GT(in_process.size(), 48u * 900u);  // sanity: carried the payloads
-  EXPECT_EQ(shm, in_process);
+  check(Transport::kInProcess, "in-process");
+  check(Transport::kShm, "shm");
 }
 
 TEST_F(CoreIntegrationTest, MultiEpochEachCovered) {
@@ -296,11 +289,13 @@ struct ScriptedSource final : net::MessageSource {
   }
   std::optional<Payload> recv() override {
     if (pos >= script.size()) return std::nullopt;
+    pulled.fetch_add(1, std::memory_order_relaxed);
     return script[pos++];  // refcount bump, not a byte copy
   }
   void close() override {}
   std::vector<Payload> script;
-  std::size_t pos = 0;
+  std::size_t pos = 0;                 ///< ingest thread only
+  std::atomic<std::size_t> pulled{0};  ///< payloads handed out, readable anywhere
 };
 
 msgpack::WireBatch data_batch(std::uint32_t epoch, std::uint64_t id) {
@@ -510,12 +505,13 @@ TEST(ReceiverParallelDecode, SentinelOvertakeAndEpochReorderPooled) {
   EXPECT_EQ(receiver.stats().epochs_completed, 2u);
 }
 
-TEST(ReceiverParallelDecode, RandomizedInterleavingsSerialVsPooledByteIdentical) {
+TEST(ReceiverParallelDecode, RandomizedInterleavingsMatchDeliveryContract) {
   // Property: for ANY cross-sender interleaving a parallel transport could
-  // produce, the pooled engine delivers the exact batch stream the serial
-  // engine does — batch for batch, byte for byte. Randomized merges of
+  // produce, the receiver delivers exactly what its contract fixes — per
+  // epoch, the data batches in arrival order, then one marker — batch for
+  // batch, byte for byte, at decode width 1 and 4. Randomized merges of
   // 3 senders × 3 epochs (ragged batch counts, sentinel overtakes included
-  // by construction), same arrival order replayed through both engines.
+  // by construction).
   std::mt19937 rng(0xE171u);
   for (int round = 0; round < 5; ++round) {
     constexpr std::size_t kSenders = 3;
@@ -544,29 +540,31 @@ TEST(ReceiverParallelDecode, RandomizedInterleavingsSerialVsPooledByteIdentical)
       merged.push_back(streams[s][cursor[s]++]);
     }
 
-    std::vector<msgpack::WireBatch> delivered[2];
-    for (int pooled = 0; pooled < 2; ++pooled) {
+    const auto expected = oracle::expected_delivery(merged, kSenders);
+    ASSERT_EQ(expected.size(), merged.size() - kSenders * kEpochs + kEpochs);
+    for (std::size_t width : {std::size_t{1}, std::size_t{4}}) {
       ReceiverConfig rc;
       rc.num_senders = kSenders;
       rc.queue_capacity = 4;
-      rc.decode_threads = pooled ? 4 : 0;
+      rc.decode_threads = width;
       Receiver receiver(rc, std::make_unique<ScriptedSource>(merged));
-      delivered[pooled] = drain_all(receiver);
+      auto delivered = drain_all(receiver);
       EXPECT_EQ(receiver.stats().epochs_completed, kEpochs) << "round " << round;
       EXPECT_EQ(receiver.stats().dropped_on_close, 0u) << "round " << round;
+      ASSERT_EQ(delivered.size(), expected.size()) << "round " << round << " width " << width;
+      EXPECT_TRUE(delivered == expected) << "round " << round << " width " << width;
     }
-    ASSERT_EQ(delivered[0].size(), delivered[1].size()) << "round " << round;
-    EXPECT_EQ(delivered[0], delivered[1]) << "round " << round;
   }
 }
 
 TEST(ReceiverParallelDecode, HeldBatchesRepairedAtStreamEnd) {
   // Epoch-1 data arrives but epoch 0 never completes (a sender died before
   // its sentinel). When the stream ends on its own — not a local close() —
-  // both engines repair: each evidenced epoch completes degraded, the held
+  // the receiver repairs at every width: each evidenced epoch completes
+  // degraded, the held
   // epoch-1 batch is DELIVERED (not leaked or dropped), and the repairs are
   // counted in epochs_repaired.
-  for (std::size_t decode_threads : {std::size_t{0}, std::size_t{2}}) {
+  for (std::size_t decode_threads : {std::size_t{1}, std::size_t{2}}) {
     std::vector<msgpack::WireBatch> script;
     script.push_back(data_batch(0, 0));
     script.push_back(data_batch(1, 5));  // held until epoch 0 resolves
@@ -595,32 +593,45 @@ TEST(ReceiverParallelDecode, HeldBatchesRepairedAtStreamEnd) {
 
 TEST(ReceiverParallelDecode, CloseWithUnconsumedDecodesCountsDrops) {
   // The receiver decodes ahead of a consumer that never shows up; close()
-  // rejects the queued-up deliveries. Every decoded batch must be accounted:
-  // drained from the queue, or counted in dropped_on_close.
+  // rejects the queued-up deliveries. Every batch pulled off the wire must be
+  // accounted exactly: delivered (drained from the queue), counted in
+  // dropped_on_close, or counted in dropped_dead_sender.
   constexpr std::uint64_t kBatches = 6;
   std::vector<msgpack::WireBatch> script;
   for (std::uint64_t i = 0; i < kBatches; ++i) script.push_back(data_batch(0, i));
   ReceiverConfig rc;
   rc.num_senders = 1;
   rc.queue_capacity = 1;  // the engine blocks on delivery almost immediately
-  Receiver receiver(rc, std::make_unique<ScriptedSource>(std::move(script)));
-  receiver.close();
-  std::uint64_t drained = 0;
-  while (receiver.next()) ++drained;  // whatever made it in before the close
-  // The serial engine decodes the whole script (its source keeps yielding);
-  // wait for the conservation equation to settle.
+  auto source = std::make_unique<ScriptedSource>(std::move(script));
+  auto* src = source.get();
+  Receiver receiver(rc, std::move(source));
+  // Let it decode ahead: one batch fills the queue, the next blocks in
+  // delivery with more admitted behind it.
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (receiver.stats().batches_received < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(receiver.stats().batches_received, 2u) << "engine never decoded ahead";
+  receiver.close();
+  std::uint64_t delivered = 0;
+  while (receiver.next()) ++delivered;  // whatever made it in before the close
+  // Straggler decode jobs may still be draining into the drop counter; wait
+  // for the books to settle, then assert them exactly.
+  deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
   ReceiverStats stats;
+  auto accounted = [&] {
+    return delivered + stats.dropped_on_close + stats.dropped_dead_sender;
+  };
   do {
     stats = receiver.stats();
-    if (stats.batches_received == kBatches &&
-        drained + stats.dropped_on_close == kBatches) {
-      break;
-    }
+    if (accounted() == src->pulled.load()) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   } while (std::chrono::steady_clock::now() < deadline);
-  EXPECT_EQ(stats.batches_received, kBatches);
-  EXPECT_EQ(drained + stats.dropped_on_close, kBatches);
+  EXPECT_EQ(accounted(), src->pulled.load())
+      << "delivered=" << delivered << " dropped_on_close=" << stats.dropped_on_close
+      << " dropped_dead_sender=" << stats.dropped_dead_sender;
+  EXPECT_EQ(src->pulled.load(), kBatches);  // the lane holds the whole script
+  EXPECT_LE(stats.batches_received, kBatches);
   EXPECT_GE(stats.dropped_on_close, 1u);
 }
 
@@ -822,14 +833,14 @@ TEST_F(CoreIntegrationTest, MissingSinkSurfacesErrorStateInsteadOfCrashing) {
   Planner planner(indexes, pc);
   auto plan = planner.plan_epoch(0, /*num_nodes=*/2);  // plan serves nodes 0 AND 1
 
-  for (bool pipelined : {true, false}) {
+  for (std::size_t pool : {std::size_t{1}, std::size_t{3}}) {
     auto ch = net::make_sim_channel({});
     auto sink0 = std::shared_ptr<net::MessageSink>(std::move(ch.sink));
     std::vector<tfrecord::ShardReader> readers;
     for (const auto& idx : indexes) readers.emplace_back(idx);
     DaemonConfig dc;
-    dc.daemon_id = pipelined ? "pipelined" : "serial";
-    dc.pipelined = pipelined;
+    dc.daemon_id = "pool" + std::to_string(pool);
+    dc.pool_threads = pool;
     std::map<std::uint32_t, std::shared_ptr<net::MessageSink>> sinks{{0u, sink0}};  // no node 1!
     Daemon daemon(dc, std::move(readers), sinks);
     EXPECT_TRUE(daemon.ok());
@@ -841,6 +852,85 @@ TEST_F(CoreIntegrationTest, MissingSinkSurfacesErrorStateInsteadOfCrashing) {
     // Validation precedes launch: nothing was sent, no thread crashed.
     EXPECT_EQ(daemon.stats().batches_sent, 0u);
   }
+}
+
+/// Forwards to `inner` but throws from send() above a byte cap, the way
+/// ShmMessageSink rejects a batch larger than its slab.
+struct CappedSink final : net::MessageSink {
+  CappedSink(std::shared_ptr<net::MessageSink> forward_to, std::size_t max_bytes)
+      : inner(std::move(forward_to)), cap(max_bytes) {}
+  bool send(Payload message) override {
+    if (message.size() > cap) {
+      throw std::length_error("message of " + std::to_string(message.size()) +
+                              " bytes exceeds the " + std::to_string(cap) + "-byte cap");
+    }
+    return inner->send(std::move(message));
+  }
+  void close() override { inner->close(); }
+  std::shared_ptr<net::MessageSink> inner;
+  std::size_t cap;
+};
+
+TEST_F(CoreIntegrationTest, ThrowingSinkFailsTheEpochInsteadOfTerminating) {
+  // Regression: an exception from MessageSink::send escaped the sender
+  // thread and took the process down through std::terminate. The sender must
+  // trap it into the daemon's error state, naming daemon, node and epoch,
+  // and serve_epoch must return false. Sentinels (far below the cap) still
+  // go out, so the receiver closes the epoch on what actually arrived.
+  auto indexes = tfrecord::load_all_indexes(dir_.string());
+  PlannerConfig pc;
+  pc.batch_size = 8;
+  pc.epochs = 1;
+  Planner planner(indexes, pc);
+  auto plan = planner.plan_epoch(0, /*num_nodes=*/1);
+
+  auto ch = net::make_sim_channel({});
+  auto sink = std::make_shared<CappedSink>(
+      std::shared_ptr<net::MessageSink>(std::move(ch.sink)), /*cap=*/1024);
+  ReceiverConfig rc;
+  rc.num_senders = 1;
+  Receiver receiver(rc, std::move(ch.source));
+
+  std::vector<tfrecord::ShardReader> readers;
+  for (const auto& idx : indexes) readers.emplace_back(idx);
+  DaemonConfig dc;
+  dc.daemon_id = "capped";
+  dc.pool_threads = 2;
+  Daemon daemon(dc, std::move(readers), {{0u, sink}});
+  EXPECT_FALSE(daemon.serve_epoch(plan));
+  sink->close();
+  EXPECT_FALSE(daemon.ok());
+  const std::string err = daemon.last_error();
+  EXPECT_NE(err.find("daemon capped"), std::string::npos) << err;
+  EXPECT_NE(err.find("node 0"), std::string::npos) << err;
+  EXPECT_NE(err.find("epoch 0"), std::string::npos) << err;
+  EXPECT_NE(err.find("exceeds the 1024-byte cap"), std::string::npos) << err;
+  EXPECT_GE(daemon.stats().errors, 1u);
+  EXPECT_EQ(daemon.stats().batches_sent, 0u);
+
+  auto delivered = drain_all(receiver);
+  ASSERT_EQ(delivered.size(), 1u);  // the epoch marker, announcing 0 batches
+  EXPECT_TRUE(delivered[0].last);
+  EXPECT_EQ(delivered[0].sent_count, 0u);
+}
+
+TEST_F(CoreIntegrationTest, ShmBatchLargerThanSlabFailsTheDaemonCleanly) {
+  // The same failure through the real transport: every 8-sample batch
+  // (~7 KB) exceeds a 4 KiB slab, so ShmMessageSink::send throws on the
+  // first batch. The service must finish the epoch with nothing delivered
+  // and the failure counted, not abort.
+  auto cfg = base_config();
+  cfg.transport = Transport::kShm;
+  cfg.shm_slab_bytes = 4096;
+  EmlioService service(cfg);
+  service.start();
+  std::uint64_t samples = 0;
+  while (auto batch = service.next_batch()) samples += batch->samples.size();
+  service.stop();
+  auto stats = service.stats();
+  EXPECT_EQ(samples, 0u);
+  EXPECT_GE(stats.daemon.errors, 1u);
+  EXPECT_EQ(stats.daemon.batches_sent, 0u);
 }
 
 TEST_F(CoreIntegrationTest, BackpressuredSinkDoesNotStarveOtherLanes) {
@@ -913,11 +1003,11 @@ TEST_F(CoreIntegrationTest, BackpressuredSinkDoesNotStarveOtherLanes) {
 
 // ---------------------------------- multi-daemon × multi-receiver topologies
 
-/// Drives a full 2-daemon × 2-receiver cluster epoch through the pipelined
-/// engine and checks per-node delivery against the plan. `full_dataset` picks
-/// scenario C2 (§5.2: every node consumes the whole dataset) over the default
-/// sharded partitioning (C1). `decode_threads` picks the receiver engine:
-/// 0 = serial (multi-source mux), N = pooled decode fan-out.
+/// Drives a full 2-daemon × 2-receiver cluster epoch through the staged
+/// engines and checks per-node delivery against the plan. `full_dataset`
+/// picks scenario C2 (§5.2: every node consumes the whole dataset) over the
+/// default sharded partitioning (C1). `decode_threads` is the receivers'
+/// decode pool width.
 class MultiDaemonMultiReceiver : public CoreIntegrationTest {
  protected:
   void run_cluster(bool full_dataset, std::uint32_t epochs, std::size_t decode_threads) {
@@ -1043,9 +1133,9 @@ TEST_F(MultiDaemonMultiReceiver, ShardedPartitionedC1) {
 
 TEST_F(MultiDaemonMultiReceiver, FullDatasetPerNodeC2) {
   // Scenario C2 (§5.2): every node consumes the full dataset; both daemons
-  // serve both nodes their locally-owned half. Serial receiver over two
-  // sources — the internal mux engine.
-  run_cluster(/*full_dataset=*/true, /*epochs=*/2, /*decode_threads=*/0);
+  // serve both nodes their locally-owned half. Width-1 decode pool over two
+  // sources.
+  run_cluster(/*full_dataset=*/true, /*epochs=*/2, /*decode_threads=*/1);
 }
 
 TEST_F(MultiDaemonMultiReceiver, FullDatasetPerNodeC2PooledDecode) {
@@ -1065,8 +1155,8 @@ struct E2eParams {
   std::uint32_t threads;
   std::size_t streams;
   Transport transport;
-  bool pipelined = true;
-  std::size_t decode_threads = 0;  ///< receiver engine: 0 serial, N pooled
+  std::size_t pool = 0;            ///< daemon encode pool width (0 = auto)
+  std::size_t decode_threads = 1;  ///< receiver decode pool width
   bool adaptive = false;  ///< stall-ratio governors on both pooled stages
 };
 
@@ -1089,7 +1179,7 @@ TEST_P(EndToEndSweep, EpochAlwaysCleanAcrossConfigs) {
   cfg.threads_per_node = p.threads;
   cfg.num_streams = p.streams;
   cfg.transport = p.transport;
-  cfg.pipelined = p.pipelined;
+  cfg.pipeline_pool_threads = p.pool;
   cfg.decode_threads = p.decode_threads;
   cfg.adaptive_pool = p.adaptive;
   cfg.adaptive_interval_ms = 2;  // plenty of control windows per epoch
@@ -1125,25 +1215,25 @@ INSTANTIATE_TEST_SUITE_P(
                       E2eParams{3, 5, 3, 4, Transport::kTcp},
                       E2eParams{5, 16, 1, 3, Transport::kTcp},
                       E2eParams{1, 9, 4, 2, Transport::kTcp},
-                      // Legacy serial engine stays covered too:
-                      E2eParams{3, 8, 2, 1, Transport::kInProcess, /*pipelined=*/false},
-                      E2eParams{4, 7, 3, 2, Transport::kTcp, /*pipelined=*/false},
-                      // Pooled receiver decode over both transports:
-                      E2eParams{3, 8, 2, 1, Transport::kInProcess, true, /*decode=*/4},
-                      E2eParams{4, 7, 2, 3, Transport::kTcp, true, /*decode=*/2},
-                      // ...and pooled decode behind the serial daemon engine:
-                      E2eParams{2, 9, 2, 1, Transport::kInProcess, false, /*decode=*/3},
+                      // Width-1 encode pool, the simplest configuration:
+                      E2eParams{3, 8, 2, 1, Transport::kInProcess, /*pool=*/1},
+                      E2eParams{4, 7, 3, 2, Transport::kTcp, /*pool=*/1},
+                      // Wider receiver decode over both transports:
+                      E2eParams{3, 8, 2, 1, Transport::kInProcess, 0, /*decode=*/4},
+                      E2eParams{4, 7, 2, 3, Transport::kTcp, 0, /*decode=*/2},
+                      // ...and wide decode behind a width-1 encode pool:
+                      E2eParams{2, 9, 2, 1, Transport::kInProcess, /*pool=*/1, /*decode=*/3},
                       // Governed pools on both ends (adaptive sizing live
                       // during the epoch must not change delivery):
-                      E2eParams{3, 8, 2, 1, Transport::kInProcess, true, 2, /*adaptive=*/true},
-                      E2eParams{4, 7, 2, 2, Transport::kTcp, true, 1, /*adaptive=*/true},
-                      // Shared-memory lane: staged, serial, pooled decode,
-                      // and fully governed — identical guarantees expected.
+                      E2eParams{3, 8, 2, 1, Transport::kInProcess, 0, 2, /*adaptive=*/true},
+                      E2eParams{4, 7, 2, 2, Transport::kTcp, 0, 1, /*adaptive=*/true},
+                      // Shared-memory lane: default, width-1 encode, wider
+                      // decode, and fully governed — identical guarantees.
                       E2eParams{2, 8, 2, 1, Transport::kShm},
                       E2eParams{3, 5, 3, 1, Transport::kShm},
-                      E2eParams{4, 7, 3, 1, Transport::kShm, /*pipelined=*/false},
-                      E2eParams{4, 7, 2, 1, Transport::kShm, true, /*decode=*/2},
-                      E2eParams{3, 8, 2, 1, Transport::kShm, true, 2, /*adaptive=*/true}));
+                      E2eParams{4, 7, 3, 1, Transport::kShm, /*pool=*/1},
+                      E2eParams{4, 7, 2, 1, Transport::kShm, 0, /*decode=*/2},
+                      E2eParams{3, 8, 2, 1, Transport::kShm, 0, 2, /*adaptive=*/true}));
 
 }  // namespace
 }  // namespace emlio::core

@@ -1,6 +1,7 @@
 // Tests for power models/sources, the Algorithm-1 EnergyMonitor, and reports.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 #include "energy/monitor.h"
@@ -195,7 +196,48 @@ class SlowPowerSource final : public PowerSource {
   std::int64_t reads_ = 0;
 };
 
+/// Steady time, except that every reading after the first is `skew` ahead:
+/// the monitor's start() stamps the epoch, and its sampler then finds itself
+/// already `skew` late — a thread that started late under load.
+class LateStartClock final : public Clock {
+ public:
+  explicit LateStartClock(Nanos skew) : skew_(skew) {}
+  Nanos now() const override {
+    Nanos t = SteadyClock::instance().now();
+    return first_.exchange(false) ? t : t + skew_;
+  }
+
+ private:
+  Nanos skew_;
+  mutable std::atomic<bool> first_{true};
+};
+
 }  // namespace
+
+TEST(EnergyMonitor, LateFirstRoundStaysOnTheGrid) {
+  // Regression: when the sampler's first round was already past t_0, the
+  // first point was stamped at t_0 and the next one rounds later, leaving a
+  // hole in the δ-grid right after the first row.
+  tsdb::Database db;
+  const auto& steady = SteadyClock::instance();
+  auto cpu = std::make_shared<SyntheticPowerSource>("cpu", steady, 10.0);
+  auto dram = std::make_shared<SyntheticPowerSource>("memory", steady, 1.0);
+  MonitorOptions opt;
+  opt.interval = from_millis(5);
+  LateStartClock clock(2 * opt.interval + from_millis(1));
+  EnergyMonitor monitor(opt, clock, db, cpu, dram);
+  monitor.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  monitor.stop();
+
+  tsdb::Query q;
+  q.measurement = "energy";
+  auto rows = db.select(q);
+  ASSERT_GE(rows.size(), 2u);
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].timestamp - rows[i - 1].timestamp, opt.interval) << i;
+  }
+}
 
 TEST(EnergyMonitor, InterpolatesMissedIntervals) {
   // Every 3rd read stalls 4× the interval → rounds are skipped; Algorithm 1

@@ -131,7 +131,7 @@ TEST(Pipe, LatencyOverlapsAcrossTransfers) {
     pipe.transfer(1000, [&] { completions.push_back(to_seconds(eng.now())); });
   }
   eng.run();
-  // All three arrive ≈ t=1: latency is pipelined, not serialized — the
+  // All three arrive ≈ t=1: latency is overlapped, not serialized — the
   // property EMLIO exploits and per-request NFS cannot.
   for (double t : completions) EXPECT_NEAR(t, 1.0, 0.001);
 }
